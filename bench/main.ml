@@ -408,8 +408,8 @@ let characterization _ctx =
      scalar + 1 array reductions) + 2 conditional + 18 selected)@."
 
 (* ------------------------------------------------------------------ *)
-(* Simulation-engine throughput: replay the fuzz corpus under every     *)
-(* engine and report simulated cycles per wall-clock second.  The       *)
+(* Simulation-engine throughput: replay the fuzz corpus under both      *)
+(* engines and report simulated cycles per wall-clock second.  The      *)
 (* cycle counts are identical by the cycle-exactness contract (enforced *)
 (* by test_engine.ml and the fuzz oracle); only the wall time differs.  *)
 (* The timed region is [Sim.run] alone: building the sim and (for the   *)
@@ -425,8 +425,7 @@ let characterization _ctx =
 
 let engines ctx =
   section "engines"
-    "simulation-engine throughput on the fuzz corpus (cycle vs event vs \
-     compiled)";
+    "simulation-engine throughput on the fuzz corpus (cycle vs compiled)";
   let module F = Finepar_fuzz in
   match
     List.find_opt Sys.file_exists [ "test/fuzz_corpus"; "fuzz_corpus" ]

@@ -12,16 +12,14 @@ set -eu
 
 DET_SECTIONS="table fig ablation extension characterization"
 MIN_SPEEDUP="${MIN_SPEEDUP:-2.0}"
-# Sim-throughput gates for the engines section, one per non-cycle
-# engine.  Both the recorded speedup and the gate land in meta in the
-# same run, so check_bench never meets an engine the baseline has not
-# heard of.
-MIN_EVENT_SPEEDUP="${MIN_EVENT_SPEEDUP:-2.0}"
+# Sim-throughput gate for the engines section, one per non-cycle engine.
+# Both the recorded speedup and the gate land in meta in the same run,
+# so check_bench never meets an engine the baseline has not heard of.
 # The compiled gate sat at 10x while the corpus was all queue-mode;
 # shared-cache reproducers spin on valid flags, and a spinning core
-# issues every cycle, so fast-forward engines get no quiescent windows
-# to skip on those entries (~6.7x compiled / ~2.4x event on the
-# recording host).  The gate follows the honest mixed-corpus number.
+# issues every cycle, so the fast-forward gets no quiescent windows to
+# skip on those entries (~6.7x on the recording host).  The gate follows
+# the honest mixed-corpus number.
 MIN_COMPILED_SPEEDUP="${MIN_COMPILED_SPEEDUP:-5.0}"
 # Warm-over-cold throughput gate for the compile-and-simulate service
 # section (requests answered from the content-addressed store vs
@@ -48,7 +46,6 @@ dune exec --no-build bench/main.exe -- -j1 --json=bench/baseline.json --history=
   >/dev/null
 
 SEQ="$SEQ" PAR="$PAR" MIN_SPEEDUP="$MIN_SPEEDUP" \
-MIN_EVENT_SPEEDUP="$MIN_EVENT_SPEEDUP" \
 MIN_COMPILED_SPEEDUP="$MIN_COMPILED_SPEEDUP" \
 MIN_SERVICE_WARM_SPEEDUP="$MIN_SERVICE_WARM_SPEEDUP" python3 - <<'EOF'
 import json, os
@@ -68,8 +65,7 @@ meta = {
 # enforces (it fails when an engine has a speedup but no gate, so a new
 # engine cannot land without re-running this script).
 engines = d.get('sections', {}).get('engines', {})
-mins = {'event': float(os.environ['MIN_EVENT_SPEEDUP']),
-        'compiled': float(os.environ['MIN_COMPILED_SPEEDUP'])}
+mins = {'compiled': float(os.environ['MIN_COMPILED_SPEEDUP'])}
 for key, value in sorted(engines.items()):
     if not key.endswith('_speedup'):
         continue

@@ -91,24 +91,35 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Simulation engine: $(b,cycle) (the reference stepper), $(b,event) \
-     (event-driven fast-forward) or $(b,compiled) (per-core programs \
-     pre-specialized to closure arrays, driven by the same fast-forward).  \
-     All three are cycle-exact to each other; $(b,event) is faster on \
-     latency-dominated runs and $(b,compiled) is fastest overall."
+    "Simulation engine: $(b,cycle) (the reference stepper) or \
+     $(b,compiled) (per-core programs pre-specialized to closure arrays, \
+     fast-forwarding through cycles in which no core can issue).  The two \
+     are cycle-exact to each other; $(b,compiled) is faster."
   in
   Arg.(
     value
     & opt engine_conv Finepar_machine.Engine.default
     & info [ "engine" ] ~doc)
 
-let machine_of ?(issue_width = 1) ~latency ~queue_len () =
-  {
-    Finepar_machine.Config.default with
-    Finepar_machine.Config.transfer_latency = latency;
-    queue_len;
-    issue_width;
-  }
+(* The machine the flags describe, for [cores] hardware cores.  A
+   configuration the simulator cannot model is rejected here with a
+   one-line diagnostic, before anything is compiled or simulated. *)
+let machine_of ?(issue_width = 1)
+    ?(latency = Finepar_machine.Config.default.transfer_latency)
+    ?(queue_len = Finepar_machine.Config.default.queue_len) ~cores () =
+  let machine =
+    {
+      Finepar_machine.Config.default with
+      Finepar_machine.Config.transfer_latency = latency;
+      queue_len;
+      issue_width;
+    }
+  in
+  match Finepar_machine.Config.check ~cores machine with
+  | Ok () -> machine
+  | Error msg ->
+    Fmt.epr "finepar: invalid machine configuration: %s@." msg;
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Service routing: sweep/autotune/report/fuzz-replay can send their
@@ -308,7 +319,7 @@ let run_cmd =
       engine trace_out profile =
     with_tracing ~trace_out ~profile @@ fun () ->
     let e = find_entry name in
-    let machine = machine_of ~issue_width ~latency ~queue_len () in
+    let machine = machine_of ~cores ~issue_width ~latency ~queue_len () in
     let config =
       {
         (Compiler.default_config ~cores ()) with
@@ -344,7 +355,12 @@ let show_cmd =
   in
   let run name cores stage =
     let e = find_entry name in
-    let config = Compiler.default_config ~cores () in
+    let config =
+      {
+        (Compiler.default_config ~cores ()) with
+        Compiler.machine = machine_of ~cores ();
+      }
+    in
     let c = Compiler.compile config e.Registry.kernel in
     match stage with
     | "kernel" -> Fmt.pr "%a@." Finepar_ir.Kernel.pp e.Registry.kernel
@@ -460,7 +476,7 @@ let compile_and_sim ?(issue_width = 1) ?(comm = Finepar_transform.Comm.Queues)
     ~name ~cores ~latency ~queue_len ~speculation ~throughput ~tracing ~engine
     () =
   let e = find_entry name in
-  let machine = machine_of ~issue_width ~latency ~queue_len () in
+  let machine = machine_of ~cores ~issue_width ~latency ~queue_len () in
   let config =
     {
       (Compiler.default_config ~cores ()) with
@@ -527,7 +543,7 @@ let report_cmd =
            csv format — which only covers deterministic metrics — byte-
            matches the direct path; CI relies on that. *)
         let e = find_entry name in
-        let machine = machine_of ~issue_width ~latency ~queue_len () in
+        let machine = machine_of ~cores ~issue_width ~latency ~queue_len () in
         let config =
           {
             (Compiler.default_config ~cores ()) with
@@ -579,7 +595,7 @@ let sweep_cmd =
     | None ->
       List.iter
         (fun latency ->
-          let machine = machine_of ~latency ~queue_len () in
+          let machine = machine_of ~cores ~latency ~queue_len () in
           let _, _, s =
             Runner.speedup ~machine ~engine ~workload:e.Registry.workload
               ~cores e.Registry.kernel
@@ -590,7 +606,7 @@ let sweep_cmd =
       with_via via @@ fun ~exec ~counters ->
       List.iter
         (fun latency ->
-          let machine = machine_of ~latency ~queue_len () in
+          let machine = machine_of ~cores ~latency ~queue_len () in
           let _, _, s =
             speedup_via ~exec ~machine ~config:(Compiler.default_config ())
               ~engine ~cores e
@@ -764,7 +780,7 @@ let autotune_cmd =
   let run name do_search scope fuzz_corpus beam generations budget format
       jobs cores latency queue_len engine via trace_out profile output =
     with_tracing ~trace_out ~profile @@ fun () ->
-    let machine = machine_of ~latency ~queue_len () in
+    let machine = machine_of ~cores ~latency ~queue_len () in
     if do_search then
       let params =
         { Tune_search.cores; machine; beam; generations; budget }
@@ -1067,7 +1083,7 @@ let verify_cmd =
             (Compiler.default_config ~cores ()) with
             Compiler.speculation;
             throughput;
-            machine = machine_of ~latency ~queue_len ();
+            machine = machine_of ~cores ~latency ~queue_len ();
           }
         in
         verify_kernel
@@ -1120,7 +1136,7 @@ let verify_cmd =
                 let config =
                   {
                     (Compiler.default_config ~cores ()) with
-                    Compiler.machine = machine_of ~latency ~queue_len ();
+                    Compiler.machine = machine_of ~cores ~latency ~queue_len ();
                   }
                 in
                 let c = Compiler.compile config e.Registry.kernel in
@@ -1164,7 +1180,7 @@ let verify_cmd =
           (Compiler.default_config ~cores ()) with
           Compiler.speculation;
           throughput;
-          machine = machine_of ~latency ~queue_len ();
+          machine = machine_of ~cores ~latency ~queue_len ();
         }
       in
       verify_kernel (Fmt.str "%s cores=%d" name cores) config e.Registry.kernel
@@ -1433,7 +1449,7 @@ let request_cmd =
     Arg.(value & flag & info [ "emit" ] ~doc)
   in
   let engines_arg =
-    let doc = "Comma-separated engines for --emit (default: all three)." in
+    let doc = "Comma-separated engines for --emit (default: both)." in
     Arg.(
       value
       & opt (list engine_conv) Finepar_machine.Engine.all
@@ -1456,7 +1472,7 @@ let request_cmd =
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
   let emit ~engines ~cores ~latency ~queue_len ~corpus output =
-    let machine = machine_of ~latency ~queue_len () in
+    let machine = machine_of ~cores ~latency ~queue_len () in
     let config = { (Compiler.default_config ~cores ()) with Compiler.machine } in
     let registry_reqs =
       List.concat_map
@@ -1575,11 +1591,26 @@ let () =
     "fine-grained parallelization of sequential loops with hardware queues"
   in
   let info = Cmd.info "finepar" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd; run_cmd; verify_cmd; show_cmd; trace_cmd; report_cmd;
+        sweep_cmd; autotune_cmd; classify_cmd; fuzz_cmd; profile_cmd;
+        perf_report_cmd; serve_cmd; request_cmd;
+      ]
+  in
+  (* A verifier rejection is a diagnosis of the requested configuration,
+     not a crash: one line naming the kernel and its violations.  Every
+     other escaping exception is reported as Cmdliner would. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; run_cmd; verify_cmd; show_cmd; trace_cmd; report_cmd;
-            sweep_cmd; autotune_cmd; classify_cmd; fuzz_cmd; profile_cmd;
-            perf_report_cmd; serve_cmd; request_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Finepar_verify.Verify.Rejected (kernel, violations) ->
+      Fmt.epr "finepar: %s rejected by the queue-protocol verifier: %a@." kernel
+        Fmt.(list ~sep:(any "; ") Finepar_verify.Verify.pp_violation)
+        violations;
+      1
+    | exception e ->
+      Fmt.epr "finepar: internal error, uncaught exception:@\n%s@."
+        (Printexc.to_string e);
+      Cmd.Exit.internal_error)

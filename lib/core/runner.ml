@@ -27,9 +27,7 @@ let run_with_sim ?(check = true) ?(workload = []) ?core_map ?tracing
       ~config:c.Compiler.config.Compiler.machine ~initial:workload
       c.Compiler.code.Finepar_codegen.Lower.program
   in
-  let engine_name =
-    Engine.to_string (Option.value engine ~default:Engine.default)
-  in
+  let engine = Option.value engine ~default:Engine.default in
   let cycles =
     Finepar_telemetry.Tracer.with_span ~cat:"sim"
       ~args:
@@ -37,20 +35,20 @@ let run_with_sim ?(check = true) ?(workload = []) ?core_map ?tracing
           ( "kernel",
             Finepar_telemetry.Json.String c.Compiler.source.Kernel.name );
         ]
-      ("sim:" ^ engine_name)
+      ("sim:" ^ Engine.to_string engine)
       (fun () ->
         (* The compiled engine's one-time closure compilation is timed as
            its own pass span, nested under the sim span, so traces show
            the specialize cost separately from the run proper. *)
         let specialized =
           match engine with
-          | Some Engine.Compiled ->
+          | Engine.Compiled ->
             Some
               (Finepar_telemetry.Tracer.with_span ~cat:"pass" "specialize"
                  (fun () -> Sim.specialize sim))
-          | Some (Engine.Cycle | Engine.Event) | None -> None
+          | Engine.Cycle -> None
         in
-        let cycles = Sim.run ?engine ?specialized sim in
+        let cycles = Sim.run ~engine ?specialized sim in
         Finepar_telemetry.Tracer.set_arg "cycles"
           (Finepar_telemetry.Json.Int cycles);
         cycles)

@@ -29,7 +29,7 @@ exception Mismatch of string
     @param trace_capacity ring capacity when tracing
       (default {!Finepar_machine.Sim.default_trace_capacity})
     @param engine simulation engine (default
-      {!Finepar_machine.Engine.default}, the cycle stepper); all engines
+      {!Finepar_machine.Engine.default}, the cycle stepper); both engines
       are cycle-exact to each other.  The compiled engine's one-time
       specialize step is timed as its own ["specialize"] tracer span
       nested under the sim span. *)

@@ -12,8 +12,8 @@
       [cycles * threads], and queue occupancy respects capacity;
     - {b determinism}: a second run of the same compiled program on the
       same workload reproduces the cycle count and outputs;
-    - {b cross-engine}: every other simulation engine (cycle stepper,
-      event-driven fast-forward, compiled — {!Finepar_machine.Engine})
+    - {b cross-engine}: the other simulation engine (the cycle stepper
+      or the compiled fast-forward engine, {!Finepar_machine.Engine})
       reproduces the cycle count, the architectural outputs, and the
       full telemetry report;
     - {b cross-core agreement}: the same kernel compiled for one core
@@ -169,9 +169,9 @@ let check ?(compile : compile_fn = Finepar.Compiler.compile)
             (* Cross-engine: every other engine must be cycle-exact —
                same cycle count, same architectural outputs, same
                telemetry report (the report JSON covers every counter
-               and histogram).  With three engines each case checks the
-               two it did not run under, so the three-way matrix closes
-               whatever engine the campaign selected. *)
+               and histogram).  Each case is also run under the engine
+               the campaign did not select, so one campaign under
+               either engine checks the pair. *)
             let cross_engine_failure other =
               match
                 Finepar.Runner.run ~check:false ~workload ~core_map

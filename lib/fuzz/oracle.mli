@@ -1,7 +1,7 @@
 (** The differential oracle set: static-verifier acceptance,
     bit-exactness against the reference evaluator, telemetry
     invariants, run-to-run determinism, cross-engine cycle-exactness
-    (cycle stepper vs event-driven fast-forward), and cross-core-count
+    (cycle stepper vs compiled fast-forward), and cross-core-count
     agreement of observable results.
 
     Failure oracle names: "well-formed", "verifier", "compiler-crash",

@@ -41,3 +41,28 @@ let default =
 
 let with_transfer_latency latency t = { t with transfer_latency = latency }
 let with_issue_width width t = { t with issue_width = width }
+
+let check ~cores t =
+  let at_least lo (name, v) =
+    if v < lo then Some (Printf.sprintf "%s must be >= %d (got %d)" name lo v)
+    else None
+  in
+  let problems =
+    List.filter_map (at_least 1)
+      [
+        ("cores", cores);
+        ("queue_len", t.queue_len);
+        ("issue_width", t.issue_width);
+        ("l1_line", t.l1_line);
+      ]
+    @ List.filter_map (at_least 0)
+        [
+          ("transfer_latency", t.transfer_latency);
+          ("l1_hit", t.l1_hit);
+          ("l2_hit", t.l2_hit);
+          ("mem_latency", t.mem_latency);
+          ("branch_taken_penalty", t.branch_taken_penalty);
+          ("deq_latency", t.deq_latency);
+        ]
+  in
+  if problems = [] then Ok () else Error (String.concat "; " problems)

@@ -22,3 +22,11 @@ type t = {
 val default : t
 val with_transfer_latency : int -> t -> t
 val with_issue_width : int -> t -> t
+
+val check : cores:int -> t -> (unit, string) result
+(** Whether the simulator can model [cores] hardware cores with these
+    parameters: at least one core, queue slot, issue slot and cache-line
+    byte, and no negative latency or penalty.  [Error] names every
+    out-of-range field with its value, in one line.  Meant for every
+    boundary where a configuration enters from outside, before anything
+    is compiled or simulated; the CLI checks its flags with it. *)

@@ -1,87 +1,15 @@
-(** Simulation engine selection, plus the pure scheduling math behind the
-    event-driven engine.
+(** Simulation engine selection.  The drivers themselves live in {!Sim};
+    the compiled engine's fast-forward soundness argument is stated next
+    to its driver there. *)
 
-    The event engine ({!Event}) never simulates a cycle in which no core
-    can issue more than once: after stepping a quiescent cycle it computes
-    each blocked core's {e wake time} — the earliest cycle at which that
-    core's issue conditions can change on their own — and jumps straight
-    to the minimum over all cores (clamped by the deadlock deadline and
-    the cycle budget), crediting the skipped cycles to the same per-core
-    and per-fiber counters the cycle stepper would have bumped.
-
-    Everything here is arithmetic on a frozen machine snapshot; the state
-    reading and counter writing live in {!Sim}.  The key theorem making
-    bulk crediting sound: in a cycle where no instruction issues, every
-    eligible hardware thread is attempted by the round-robin arbiter (the
-    shared issue slot is never consumed), so no [smt_wait] accrues, the
-    round-robin cursors do not move, and queue contents, scoreboards and
-    program counters are all frozen.  A blocked core's window therefore
-    splits into at most three contiguous segments — branch-penalty wait,
-    operand stall, queue stall — with boundaries given by [min_issue] and
-    the operand-ready time ({!segments}). *)
-
-type t = Cycle | Event | Compiled
+type t = Cycle | Compiled
 
 let default = Cycle
-let all = [ Cycle; Event; Compiled ]
+let all = [ Cycle; Compiled ]
 
-let to_string = function
-  | Cycle -> "cycle"
-  | Event -> "event"
-  | Compiled -> "compiled"
+let to_string = function Cycle -> "cycle" | Compiled -> "compiled"
 
 let of_string = function
   | "cycle" -> Some Cycle
-  | "event" -> Some Event
   | "compiled" -> Some Compiled
   | _ -> None
-
-(** What gates a core's next issue beyond its scoreboard and [min_issue]:
-
-    - [Free]: nothing — the core issues (or faults) as soon as
-      [max min_issue operands_at] arrives.
-    - [Head_at v]: a dequeue whose queue is non-empty but whose head value
-      becomes visible only at cycle [v] ([enqueue time + transfer
-      latency]) — the one wait that expires without any other core
-      acting.
-    - [External]: blocked on another core's issue (enqueue into a full
-      queue, dequeue from an empty queue) — no self-wake time exists. *)
-type gate = Free | Head_at of int | External
-
-(** A blocked core's issue conditions, frozen at the end of a quiescent
-    cycle: the earliest cycle an issue may be attempted ([pr_min_issue],
-    carrying branch penalties), the cycle every source operand is ready
-    ([pr_operands_at], the max over the scoreboard entries of the current
-    instruction's sources), and the queue gate. *)
-type profile = { pr_min_issue : int; pr_operands_at : int; pr_gate : gate }
-
-(** Earliest cycle a core's issue conditions can change without another
-    core acting. *)
-type wake = Never | At of int
-
-let wake p =
-  let base = max p.pr_min_issue p.pr_operands_at in
-  match p.pr_gate with
-  | Free -> At base
-  | Head_at v -> At (max base v)
-  | External -> Never
-
-let min_wake a b =
-  match (a, b) with
-  | Never, w | w, Never -> w
-  | At x, At y -> At (min x y)
-
-(** [segments p ~from ~until] splits the quiescent window
-    [\[from, until)] of a core with profile [p] into the cycle counts
-    [(branch_wait, operand_stall, queue_stall)].  Sound only when
-    [until <= wake p] (the caller jumps at most to the minimum wake):
-    under that bound the three segments are exactly what the cycle
-    stepper would have recorded — branch wait while
-    [cycle < pr_min_issue], operand stall while
-    [cycle < pr_operands_at], and the gate's stall class for the rest.
-    The counts always sum to [until - from]. *)
-let segments p ~from ~until =
-  let clamp x = max from (min until x) in
-  let m = clamp p.pr_min_issue in
-  let r = max m (clamp p.pr_operands_at) in
-  (m - from, r - m, until - r)

@@ -26,9 +26,9 @@
 module Telemetry = Finepar_telemetry
 
 module Engine = Engine
-(** Engine selection for {!run}: the reference cycle stepper, the
-    cycle-exact event-driven fast-forward engine, or the compiled engine
-    (pre-specialized closures driven by the same fast-forward). *)
+(** Engine selection for {!run}: the reference cycle stepper, or the
+    cycle-exact compiled engine (pre-specialized closures with quiescent
+    fast-forward). *)
 
 (** What a non-halted core is waiting on when the simulator gives up. *)
 type wait =
@@ -151,35 +151,13 @@ val create :
   initial:(string * Finepar_ir.Types.value array) list ->
   Program.t -> t
 
-val addr_of : t -> int -> int -> int
-val load_latency : t -> int -> int -> int -> int
-val store_effects : t -> int -> int -> int -> unit
-val check_idx : t -> int -> int -> unit
-val int_of_reg : t -> int -> int -> int
-val record_event : t -> event -> unit
-val step_core : t -> int -> int -> bool
-
-val issuable : t -> int -> int -> bool
-(** [issuable t core cy]: whether [core]'s next instruction would issue
-    at [cy] — the side-effect-free gate for a bundle's extra slots. *)
-
-val all_halted : t -> bool
-
 val occupancies : t -> queue_occupancy list
 (** Occupancy of every queue right now. *)
-
-val blocked_of : t -> int -> blocked_core list
-(** [blocked_of t cy]: every non-halted core with the instruction it is
-    blocked on at cycle [cy], waits classified as in [step_core]. *)
 
 val wait_for_cycle : stuck -> blocked_core list option
 (** The dynamic wait-for cycle among blocked cores, if one exists: a
     core blocked on an empty queue waits for the queue's source core, a
     core blocked on a full queue waits for its destination core. *)
-
-val describe_blockage : t -> string
-(** Blocked cores (with their waits) and per-queue occupancies as a
-    single readable line. *)
 
 val stuck_message : stuck -> string
 (** Human-readable rendering of a {!stuck} payload: reason, blocked
@@ -203,8 +181,8 @@ val specialize : t -> specialized
 
 val run : ?engine:Engine.t -> ?specialized:specialized -> t -> int
 (** Run to completion under the selected engine ([Engine.default], the
-    cycle stepper, when omitted); returns the final cycle count.  All
-    engines are cycle-exact to each other: identical cycle counts,
+    cycle stepper, when omitted); returns the final cycle count.  The
+    two engines are cycle-exact to each other: identical cycle counts,
     architectural outputs, telemetry, and {!Stuck} payloads.
     [specialized] is only consulted by {!Engine.Compiled} (which
     otherwise calls {!specialize} itself) and must come from

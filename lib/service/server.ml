@@ -44,14 +44,18 @@ let workload_of (job : Wire.job) =
   | Wire.Seeded seed -> Finepar_kernels.Workload.default ~seed job.kernel
   | Wire.Explicit w -> w
 
-let run_response compiled (job : Wire.job) engine =
+(* The job's placement is materialized against the compiled core count,
+   and checking against the reference evaluator is always on. *)
+let run_compiled compiled (job : Wire.job) engine =
   let program = compiled.Compiler.code.Finepar_codegen.Lower.program in
   let n_cores = Array.length program.Finepar_machine.Program.cores in
   let core_map = Gen.materialize job.placement n_cores in
-  let r =
-    Runner.run ~check:true ~workload:(workload_of job) ~core_map ~engine
-      compiled
-  in
+  Runner.run ~check:true ~workload:(workload_of job) ~core_map ~engine compiled
+
+let run_job ~engine job = run_compiled (compile_job job) job engine
+
+let run_response compiled (job : Wire.job) engine =
+  let r = run_compiled compiled job engine in
   Wire.Run_result
     {
       cycles = r.Runner.cycles;
@@ -119,6 +123,12 @@ let compute_group items =
 (* ------------------------------------------------------------------ *)
 (* Batch handling.                                                      *)
 
+(* The wire grammar's own errors carry a plain message; anything else
+   is rendered through its registered printer. *)
+let parse_message = function
+  | Finepar_fuzz.Repro.Parse_error msg -> msg
+  | e -> Printexc.to_string e
+
 let control t = function
   | Wire.Stats -> Wire.Stats_result (Cache.counters t.cache)
   | Wire.Ping -> Wire.Pong Version.code_version
@@ -170,14 +180,14 @@ let handle_frame t payload =
   match Finepar_fuzz.Repro.parse_sexp payload with
   | exception e ->
     Wire.response_to_string
-      (Wire.Error ("parse error: " ^ Printexc.to_string e))
+      (Wire.Error ("parse error: " ^ parse_message e))
   | Finepar_fuzz.Repro.List (Finepar_fuzz.Repro.Atom "batch" :: items) ->
     let reqs =
       List.map
         (fun item ->
           match Wire.request_of_sexp item with
           | req -> Ok req
-          | exception e -> Error (Printexc.to_string e))
+          | exception e -> Error (parse_message e))
         items
     in
     Wire.batch_of_response_strings (handle_requests t reqs)
@@ -186,7 +196,7 @@ let handle_frame t payload =
     | req -> List.hd (handle_requests t [ Ok req ])
     | exception e ->
       Wire.response_to_string
-        (Wire.Error ("parse error: " ^ Printexc.to_string e)))
+        (Wire.Error ("parse error: " ^ parse_message e)))
 
 (* ------------------------------------------------------------------ *)
 (* Framing: "<decimal byte count>\n<payload>".                          *)

@@ -13,6 +13,14 @@ type t
 
 val create : ?pool:Finepar_exec.Pool.t -> cache:Cache.t -> unit -> t
 
+val run_job : engine:Finepar_machine.Engine.t -> Wire.job -> Finepar.Runner.run
+(** Compile and simulate one job exactly as a [Run] request does:
+    profile feedback from the job's counters, placement materialized
+    against the compiled core count, the job's workload, and outputs
+    checked against the reference evaluator.  Pipeline failures
+    propagate as exceptions; the server renders them with
+    [Printexc.to_string]. *)
+
 val handle_requests : t -> (Wire.request, string) result list -> string list
 (** One batch: canonical response strings, one per request, in order.
     [Error msg] inputs (per-item parse failures) become [Error]

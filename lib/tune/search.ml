@@ -76,35 +76,11 @@ let default_params =
 type measure = (int * (string * int * int) list, string) result
 type evaluator = Wire.job list -> measure list
 
-(* The in-process evaluator replicates the server's compute path
-   (Server.compile_job + run_response): profile feedback comes from the
-   job's counters, the placement is materialized against the compiled
-   core count, checking is always on, and any pipeline exception is
-   rendered with [Printexc.to_string] — so measures and error strings
+(* The in-process evaluator runs the server's own job evaluation, and
+   renders failures as the server does, so measures and error strings
    byte-match the service path. *)
 let eval_job ~engine (job : Wire.job) : measure =
-  match
-    let profile =
-      Finepar_analysis.Profile.of_counters job.Wire.profile_counters
-    in
-    let config = { job.Wire.config with Compiler.profile } in
-    let compiled =
-      if job.Wire.sequential then
-        Compiler.compile_sequential ~machine:config.Compiler.machine
-          job.Wire.kernel
-      else Compiler.compile config job.Wire.kernel
-    in
-    let program = compiled.Compiler.code.Finepar_codegen.Lower.program in
-    let n_cores = Array.length program.Finepar_machine.Program.cores in
-    let core_map = Gen.materialize job.Wire.placement n_cores in
-    let workload =
-      match job.Wire.workload with
-      | Wire.Seeded seed ->
-        Finepar_kernels.Workload.default ~seed job.Wire.kernel
-      | Wire.Explicit w -> w
-    in
-    Runner.run ~check:true ~workload ~core_map ~engine compiled
-  with
+  match Finepar_service.Server.run_job ~engine job with
   | r -> Ok (r.Runner.cycles, r.Runner.load_counters)
   | exception e -> Error (Printexc.to_string e)
 

@@ -101,7 +101,7 @@ let profiles : (string * (F.Gen.case -> F.Gen.case option)) list =
        fills the queue and every dequeue waits out the full latency, so
        the run is dominated by queue stalls — pressure the generator
        never emits (gen_config keeps queue_len >= 2), and the kind of
-       wait-heavy schedule the event engine fast-forwards through. *)
+       wait-heavy schedule the compiled engine fast-forwards through. *)
     ( "capacity-1-queue-pressure",
       fun c ->
         if Finepar_ir.Kernel.trip_count c.F.Gen.kernel < 8 then None

@@ -1,10 +1,10 @@
 (* Differential tests for the simulation engines: the cycle stepper is
-   the reference semantics, and every other engine — the event-driven
-   fast-forward engine and the compiled (pre-specialized closure)
-   engine — must be cycle-exact to it: identical final cycle counts,
-   bit-identical architectural outputs, identical telemetry reports
-   (every counter, stall-episode histogram and queue-occupancy
-   histogram) and identical structured [Stuck] payloads.  Covered here:
+   the reference semantics, and the compiled engine (pre-specialized
+   closures with quiescent fast-forward) must be cycle-exact to it:
+   identical final cycle counts, bit-identical architectural outputs,
+   identical telemetry reports (every counter, stall-episode histogram
+   and queue-occupancy histogram) and identical structured [Stuck]
+   payloads.  Covered here:
 
    - the full kernel registry x {2, 4} cores x {default,
      high-transfer-latency, SMT core_map} configurations, crossed with
@@ -19,7 +19,6 @@
      equality, including the cycle the simulator gave up at);
    - a latency-dominated pipeline where almost the whole run is
      fast-forwarded, checking every per-core counter survives the jump;
-   - the pure fast-forward scheduling math (Engine.wake / segments);
    - specialization edge cases for the compiled engine: indirect
      addressing (including the out-of-bounds fault payload), data-
      dependent trip counts, the staggered halt handshake, and the
@@ -343,48 +342,6 @@ let test_fast_forward_counters () =
         (Types.value_equal (Sim.reg_value sim_c 1 1) (Sim.reg_value sim_e 1 1));
       Helpers.check_accounting ("fast-forward (" ^ name ^ ")") sim_e)
     (List.filter (fun e -> e <> Engine.Cycle) engines)
-
-(* ------------------------------------------------------------------ *)
-(* The pure scheduling math.                                            *)
-
-let test_wake_math () =
-  let p ?(m = 0) ?(r = 0) gate =
-    { Engine.pr_min_issue = m; pr_operands_at = r; pr_gate = gate }
-  in
-  Alcotest.(check bool) "free core wakes at max(min_issue, operands)" true
-    (Engine.wake (p ~m:3 ~r:7 Engine.Free) = Engine.At 7);
-  Alcotest.(check bool) "dequeue wakes at head visibility" true
-    (Engine.wake (p ~m:2 ~r:0 (Engine.Head_at 40)) = Engine.At 40);
-  Alcotest.(check bool) "branch penalty dominates an early head" true
-    (Engine.wake (p ~m:50 ~r:0 (Engine.Head_at 40)) = Engine.At 50);
-  Alcotest.(check bool) "externally gated core never self-wakes" true
-    (Engine.wake (p ~m:9 ~r:9 Engine.External) = Engine.Never);
-  Alcotest.(check bool) "min_wake ignores Never" true
-    (Engine.min_wake Engine.Never (Engine.At 5) = Engine.At 5);
-  Alcotest.(check bool) "min_wake takes the earlier" true
-    (Engine.min_wake (Engine.At 9) (Engine.At 5) = Engine.At 5)
-
-let test_segments_math () =
-  (* branch wait until min_issue, operand stall until operands_at, then
-     the queue gate; the counts always sum to the window length. *)
-  let p =
-    { Engine.pr_min_issue = 12; pr_operands_at = 16; pr_gate = Engine.External }
-  in
-  Alcotest.(check (triple int int int))
-    "three segments" (2, 4, 4)
-    (Engine.segments p ~from:10 ~until:20);
-  Alcotest.(check (triple int int int))
-    "window past both marks is all queue wait" (0, 0, 5)
-    (Engine.segments p ~from:20 ~until:25);
-  Alcotest.(check (triple int int int))
-    "window before min_issue is all branch wait" (5, 0, 0)
-    (Engine.segments p ~from:5 ~until:10);
-  let free =
-    { Engine.pr_min_issue = 30; pr_operands_at = 0; pr_gate = Engine.Free }
-  in
-  Alcotest.(check (triple int int int))
-    "branch-only window on a free core" (10, 0, 0)
-    (Engine.segments free ~from:20 ~until:30)
 
 let test_engine_names () =
   List.iter
@@ -798,8 +755,6 @@ let () =
         [
           Alcotest.test_case "latency-dominated pipeline" `Quick
             test_fast_forward_counters;
-          Alcotest.test_case "wake math" `Quick test_wake_math;
-          Alcotest.test_case "segment math" `Quick test_segments_math;
           Alcotest.test_case "engine names" `Quick test_engine_names;
         ] );
       ( "specialize",

@@ -372,6 +372,29 @@ let test_layout_alignment () =
   Alcotest.(check bool) "no overlap" true
     (layout.(1).Program.arr_base >= layout.(0).Program.arr_base + (5 * 8))
 
+(* ------------------------------------------------------------------ *)
+(* Configuration range check.                                          *)
+
+let test_config_check () =
+  let d = Config.default in
+  Alcotest.(check (result unit string)) "default machine on 4 cores" (Ok ())
+    (Config.check ~cores:4 d);
+  List.iter
+    (fun (what, cores, machine, expected) ->
+      Alcotest.(check (result unit string)) what (Error expected)
+        (Config.check ~cores machine))
+    [
+      ("zero cores", 0, d, "cores must be >= 1 (got 0)");
+      ("negative queue length", 4, { d with Config.queue_len = -3 },
+       "queue_len must be >= 1 (got -3)");
+      ("zero queue length", 4, { d with Config.queue_len = 0 },
+       "queue_len must be >= 1 (got 0)");
+      ("negative transfer latency", 4, Config.with_transfer_latency (-5) d,
+       "transfer_latency must be >= 0 (got -5)");
+      ("zero issue width", 4, Config.with_issue_width 0 d,
+       "issue_width must be >= 1 (got 0)");
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -409,4 +432,6 @@ let () =
             test_unplaced_label_rejected;
           Alcotest.test_case "array layout" `Quick test_layout_alignment;
         ] );
+      ( "config",
+        [ Alcotest.test_case "range check" `Quick test_config_check ] );
     ]

@@ -224,7 +224,7 @@ let test_key_sensitivity () =
          job = { base_job with profile_counters = [ ("a", 10, 1) ] };
          engine = Cycle;
        });
-  check_differs "engine" (Wire.Run { job = base_job; engine = Event });
+  check_differs "engine" (Wire.Run { job = base_job; engine = Compiled });
   check_differs "request kind" (Wire.Compile base_job);
   (* Simulation-free kinds share entries across engines: Compile and
      Verify have no engine component to vary. *)
@@ -428,10 +428,28 @@ let test_malformed_items_reported_in_slot () =
   let cache = Cache.create (temp_dir ()) in
   let server = Server.create ~cache () in
   let good = Wire.request_to_string (Wire.Ping) in
-  let payload = Printf.sprintf "(batch %s (request (kind bogus)) %s)" good good in
+  (* A well-formed run request naming an engine that does not exist
+     (the retired event-driven engine's old name). *)
+  let unknown_engine =
+    F.Repro.(
+      canon
+        (List
+           [
+             Atom "request";
+             List [ Atom "kind"; Atom "run" ];
+             List [ Atom "engine"; Atom "event" ];
+             Wire.sexp_of_job (job_of_seed 1);
+           ]))
+  in
+  let payload =
+    Printf.sprintf "(batch %s (request (kind bogus)) %s %s)" good unknown_engine
+      good
+  in
   let out = Server.handle_frame server payload in
   match Wire.responses_of_string out with
-  | [ Wire.Pong _; Wire.Error _; Wire.Pong _ ] -> ()
+  | [ Wire.Pong _; Wire.Error _; Wire.Error msg; Wire.Pong _ ] ->
+    Alcotest.(check string) "unknown engine named in its slot"
+      "parse error: unknown engine \"event\"" msg
   | _ -> Alcotest.failf "bad batch shape: %s" out
 
 (* ------------------------------------------------------------------ *)
